@@ -636,8 +636,7 @@ func BenchmarkSched(b *testing.B) {
 // (1 - 1/2.5) of the trace — thousands to tens of thousands of queued
 // jobs, the regime ROADMAP item 1 calls whole-machine queues. The
 // machine is the Dardel preset with its node ceiling raised to the
-// partition size; its calendar-queue kernel preset applies to pricing
-// probes automatically.
+// partition size.
 func schedScaleStream(nodes, jobCount int) (cluster.Machine, *sched.Pricer, []sched.Job, error) {
 	m := cluster.Dardel()
 	if nodes > m.MaxNodes {
@@ -757,7 +756,7 @@ func BenchmarkSchedScale(b *testing.B) {
 // bursts from overlapping — the same shape a machine-scale co-schedule
 // produces once epochs de-synchronize — so the event population is
 // dominated by pure timer sleeps, which is precisely the pattern the
-// run-to-completion fast path and the calendar queue are built for.
+// run-to-completion fast path is built for.
 // It returns the kernel's exact event count, the final virtual time
 // (for cross-configuration determinism checks) and the wall-clock
 // seconds spent inside Run.
@@ -789,21 +788,19 @@ func kernelScaleRun(nodes int, opts ...sim.Option) (events uint64, end sim.Time,
 
 // BenchmarkKernelScale is the kernel's nodes × events/sec record at
 // machine scale: at 256, 1024 and 4096 nodes it runs the staggered-burst
-// workload on the pre-redesign configuration (binary heap, every sleep
-// through the scheduler channel) and on the machine-scale configuration
-// (calendar queue + run-to-completion fast path), reporting both rates
-// and their ratio. The raw events/sec metrics are host-dependent context;
-// the gated metric is the 4096-node speedup ratio — host-independent,
-// both sides measured in the same process — which the bench-compare gate
-// ratchets and the acceptance floor below pins at ≥ 5×.
+// workload with every sleep through the scheduler channel (the timer
+// fast path off) and on the default kernel (run-to-completion fast path
+// on), reporting both rates and their ratio. The raw events/sec metrics
+// are host-dependent context; the gated metric is the 4096-node speedup
+// ratio — host-independent, both sides measured in the same process —
+// which the bench-compare gate ratchets and the acceptance floor below
+// pins at ≥ 5×.
 func BenchmarkKernelScale(b *testing.B) {
 	nodeCounts := []int{256, 1024, 4096}
 	for i := 0; i < b.N; i++ {
 		for _, nodes := range nodeCounts {
-			baseEv, baseEnd, baseWall := kernelScaleRun(nodes,
-				sim.WithHeapQueue(), sim.WithTimerFastPath(false))
-			fastEv, fastEnd, fastWall := kernelScaleRun(nodes,
-				sim.WithCalendarQueue())
+			baseEv, baseEnd, baseWall := kernelScaleRun(nodes, sim.WithTimerFastPath(false))
+			fastEv, fastEnd, fastWall := kernelScaleRun(nodes)
 			if baseEnd != fastEnd {
 				b.Fatalf("%d nodes: virtual end time diverged between configurations: %v vs %v", nodes, baseEnd, fastEnd)
 			}
@@ -814,10 +811,10 @@ func BenchmarkKernelScale(b *testing.B) {
 			fastRate := float64(fastEv) / fastWall
 			speedup := fastRate / baseRate
 			b.ReportMetric(baseRate/1e6, fmt.Sprintf("heap_Mev_per_s_%d", nodes))
-			b.ReportMetric(fastRate/1e6, fmt.Sprintf("cal_Mev_per_s_%d", nodes))
+			b.ReportMetric(fastRate/1e6, fmt.Sprintf("fast_Mev_per_s_%d", nodes))
 			if nodes == 4096 {
 				if speedup < 5 {
-					b.Fatalf("4096 nodes: calendar+fastpath kernel is %.1f× the heap kernel, acceptance floor is 5×", speedup)
+					b.Fatalf("4096 nodes: the fast-path kernel is %.1f× the channel-only kernel, acceptance floor is 5×", speedup)
 				}
 				b.ReportMetric(speedup, "speedup_4096_ratchet")
 			} else {

@@ -80,7 +80,7 @@ func main() {
 		fmt.Fprintf(&toml, "SimCompressionRatio = \"%.4f\"\n\n[adios2.dataset.operators]\ntype = %q\n", ratio, *compressor)
 	}
 
-	k := m.NewKernel(*nodes)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, *nodes, *seed)
 	if err != nil {
 		fatal(err)

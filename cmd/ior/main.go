@@ -14,6 +14,7 @@ import (
 	"picmcio/internal/ior"
 	"picmcio/internal/mpisim"
 	"picmcio/internal/posix"
+	"picmcio/internal/sim"
 	"picmcio/internal/units"
 )
 
@@ -55,7 +56,7 @@ func main() {
 		TransferSize: tSize, BlockSize: bSize, ReadBack: *read,
 		TestDir: "/ior",
 	}
-	k := m.NewKernel(*nodes)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, *nodes, 1)
 	if err != nil {
 		fatal(err)

@@ -67,7 +67,7 @@ func getstripe(args []string, count int, size int64) {
 	path := pfs.Clean(args[0])
 	dir, _ := pfs.Split(path)
 	m := cluster.Dardel()
-	k := m.NewKernel(1)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, 1, 1)
 	if err != nil {
 		fatal(err)

@@ -67,7 +67,7 @@ func (o Options) Fig3() ([]Series, error) {
 func (o Options) runIOR(nodes int, filePerProc bool) (float64, error) {
 	o = o.WithDefaults()
 	m := cluster.Dardel()
-	k := m.NewKernel(nodes)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, nodes, o.Seed)
 	if err != nil {
 		return 0, err
@@ -373,7 +373,7 @@ func (o Options) fig9Cell(m cluster.Machine, nodes, stripeCount int, stripeSize 
 	o = o.WithDefaults()
 	// One output epoch is what the paper times.
 	o.DiagEpochs, o.CheckpointEpochs = 1, 1
-	k := m.NewKernel(nodes)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, nodes, o.Seed)
 	if err != nil {
 		return 0, err
@@ -441,7 +441,7 @@ func contains(s, sub string) bool {
 // a striped file and render its layout as `lfs getstripe` would.
 func Listing1() (string, error) {
 	m := cluster.Dardel()
-	k := m.NewKernel(1)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, 1, 1)
 	if err != nil {
 		return "", err

@@ -178,7 +178,7 @@ func (o Options) RunBIT1Public(m cluster.Machine, nodes int, mode bit1.IOMode, t
 // count and I/O configuration, returning the measurements.
 func (o Options) runBIT1(m cluster.Machine, nodes int, mode bit1.IOMode, toml string) (*RunResult, error) {
 	o = o.WithDefaults()
-	k := m.NewKernel(nodes)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, nodes, o.Seed)
 	if err != nil {
 		return nil, err

@@ -250,7 +250,7 @@ func Run(m cluster.Machine, specs []Spec, seed uint64) ([]Result, error) {
 		}
 		total += s.Nodes
 	}
-	k := m.NewKernel(total)
+	k := sim.NewKernel()
 	sys, err := m.Build(k, total, seed)
 	if err != nil {
 		return nil, err

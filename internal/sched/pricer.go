@@ -50,12 +50,10 @@ type Pricer struct {
 
 	// ProbeDrainBatchBytes, when positive, sets burst.Spec.DrainBatchBytes
 	// on priced specs that leave it zero, so pricing probe runs ride the
-	// kernel's batched drain write-backs (they already ride the
-	// calendar-queue presets automatically: probes run through jobs.Run,
-	// which sizes its kernel via Machine.KernelOptions). Opt-in because
-	// batching changes drain completion timing and therefore prices; the
-	// zero default keeps historical prices byte-identical. The effective
-	// (overridden) spec is what the cache is keyed on.
+	// kernel's batched drain write-backs. Opt-in because batching changes
+	// drain completion timing and therefore prices; the zero default
+	// keeps historical prices byte-identical. The effective (overridden)
+	// spec is what the cache is keyed on.
 	ProbeDrainBatchBytes int64
 }
 

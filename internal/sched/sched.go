@@ -33,6 +33,7 @@ import (
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/jobs"
+	"picmcio/internal/sim"
 	"picmcio/internal/xrand"
 )
 
@@ -43,7 +44,8 @@ type Job struct {
 	Tenant string
 	Class  string // size-class label ("small", "wide", ...)
 	Nodes  int
-	// SubmitHours is the submission time on the campaign clock.
+	// SubmitHours is the submission time on the campaign clock: finite
+	// and non-negative (Run and ReadTrace reject anything else).
 	SubmitHours float64
 	// Spec is the work itself; Spec.Nodes must equal Nodes.
 	Spec jobs.Spec
@@ -410,7 +412,7 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	}
 	// The lease substrate: a real cluster.System build, so Allocate/Free
 	// churn exercises the allocator the co-schedule layer uses.
-	sys, err := cfg.Machine.Build(cfg.Machine.NewKernel(cfg.Nodes), cfg.Nodes, cfg.Seed)
+	sys, err := cfg.Machine.Build(sim.NewKernel(), cfg.Nodes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -423,6 +425,9 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 			return nil, fmt.Errorf("sched: duplicate job ID %d in stream", j.ID)
 		}
 		seen[j.ID] = true
+		if !validSubmit(j.SubmitHours) {
+			return nil, fmt.Errorf("sched: job %d: submit time %v hours is not finite and non-negative", j.ID, j.SubmitHours)
+		}
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {
 			return nil, fmt.Errorf("sched: job %d needs %d nodes on a %d-node partition", j.ID, j.Nodes, cfg.Nodes)
 		}

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -164,4 +166,74 @@ func TestReadTraceSkipsCommentsAndResizes(t *testing.T) {
 	if j.Tenant != "acme" || j.Class != "narrow" || j.SubmitHours != 0.25 {
 		t.Fatalf("parsed job %+v", j)
 	}
+}
+
+// TestSubmitTimeValidation feeds NaN, ±Inf and negative submit times
+// through both entry points: ReadTrace must name the offending trace
+// line, Run the offending job.
+func TestSubmitTimeValidation(t *testing.T) {
+	m := cluster.Discoverer()
+	c := DefaultClasses()[0]
+	for _, tc := range []struct {
+		name string
+		text string
+		at   float64
+	}{
+		{"NaN", "NaN", math.NaN()},
+		{"+Inf", "+Inf", math.Inf(1)},
+		{"-Inf", "-Inf", math.Inf(-1)},
+		{"negative", "-1", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := fmt.Sprintf("%s\n1 t %s 2 0.5\n2 t %s 2 %s\n", traceHeader, c.Name, c.Name, tc.text)
+			_, err := ReadTrace(strings.NewReader(in), m, nil)
+			if err == nil || !strings.Contains(err.Error(), "trace line 3: submit time") {
+				t.Errorf("ReadTrace(%s) error = %v, want a submit-time error naming trace line 3", tc.text, err)
+			}
+			s := c.Spec(m)
+			s.Nodes = 2
+			ok := Job{ID: 1, Tenant: "t", Class: c.Name, Nodes: 2, SubmitHours: 0.5, Spec: s}
+			bad := ok
+			bad.ID, bad.SubmitHours = 7, tc.at
+			_, err = Run(Config{Machine: m, Nodes: 8, Seed: 1}, FCFS{}, []Job{ok, bad})
+			if err == nil || !strings.Contains(err.Error(), "job 7: submit time") {
+				t.Errorf("Run(submit %v) error = %v, want a submit-time error naming job 7", tc.at, err)
+			}
+		})
+	}
+}
+
+// FuzzReadTrace checks that ReadTrace never panics and that every trace
+// it accepts survives a WriteTrace→ReadTrace round trip with finite,
+// non-negative submit times. Its seed corpus is testdata/fuzz/FuzzReadTrace.
+func FuzzReadTrace(f *testing.F) {
+	m := cluster.Discoverer()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		js, err := ReadTrace(bytes.NewReader(data), m, nil)
+		if err != nil {
+			return
+		}
+		for _, j := range js {
+			if !(j.SubmitHours >= 0) || math.IsInf(j.SubmitHours, 1) {
+				t.Fatalf("accepted job %d with submit time %v", j.ID, j.SubmitHours)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, js); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(&buf, m, nil)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v\n%s", err, buf.String())
+		}
+		if len(back) != len(js) {
+			t.Fatalf("round trip kept %d of %d jobs", len(back), len(js))
+		}
+		for i, j := range js {
+			b := back[i]
+			if b.ID != j.ID || b.Tenant != j.Tenant || b.Class != j.Class || b.Nodes != j.Nodes || b.SubmitHours != j.SubmitHours {
+				t.Fatalf("job %d changed in the round trip: %+v -> %+v", i, j, b)
+			}
+		}
+	})
 }

@@ -19,7 +19,7 @@ var (
 )
 
 // waitQueue is the pooled wait list behind every blocking primitive
-// (Completion, Gauge, Condition). Backing arrays come from the kernel's
+// (Completion, Gauge). Backing arrays come from the kernel's
 // free pool and return to it after a broadcast, so steady-state
 // park/wake cycles allocate nothing. The pooling is safe because wakes
 // only schedule queue entries — a woken process re-parking into the
@@ -71,11 +71,6 @@ func NewCompletion(k *Kernel) *Completion { return &Completion{w: waitQueue{k: k
 
 // Ready reports whether Complete has been called.
 func (c *Completion) Ready() bool { return c.done }
-
-// Done reports whether Complete has been called.
-//
-// Deprecated: use Ready, the Awaitable form.
-func (c *Completion) Done() bool { return c.Ready() }
 
 // Complete marks the event done and wakes every waiter, in wait order.
 // Completing twice is a no-op.
@@ -141,8 +136,3 @@ func (g *Gauge) Wait(p *Proc) {
 		g.w.park(p)
 	}
 }
-
-// WaitZero parks the calling process until the gauge value is zero.
-//
-// Deprecated: use Wait, the Awaitable form.
-func (g *Gauge) WaitZero(p *Proc) { g.Wait(p) }

@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is a point in virtual time, in seconds since the start of the run.
@@ -41,7 +40,7 @@ type event struct {
 // The zero value is not usable; create kernels with NewKernel.
 type Kernel struct {
 	now      Time
-	q        eventQueue
+	q        []event // min-heap by (at, seq); see evPush/evPop
 	seq      uint64
 	live     int  // processes spawned and not yet finished
 	fastPath bool // run-to-completion timer sleeps (see Proc.SleepUntil)
@@ -91,21 +90,6 @@ type yieldMsg struct {
 // Option configures a Kernel at construction time.
 type Option func(k *Kernel)
 
-// WithHeapQueue selects the binary-heap event queue (the default):
-// O(log n) per operation, lowest constant factors at small scale.
-func WithHeapQueue() Option {
-	return func(k *Kernel) { k.q = &heapQueue{} }
-}
-
-// WithCalendarQueue selects the calendar event queue: a bucketed time
-// wheel with amortized O(1) scheduling that outpaces the heap once a
-// machine-scale run keeps thousands of events in flight. Replay is
-// bit-identical to the heap — the (at, seq) total order is preserved —
-// so the choice is purely a performance knob.
-func WithCalendarQueue() Option {
-	return func(k *Kernel) { k.q = newCalendarQueue() }
-}
-
 // WithTimerFastPath enables or disables the run-to-completion fast path
 // for pure timer sleeps (enabled by default). Disabling it forces every
 // sleep through the scheduler channel round-trip; the only reason to do
@@ -114,41 +98,15 @@ func WithTimerFastPath(on bool) Option {
 	return func(k *Kernel) { k.fastPath = on }
 }
 
-// forcedQueue, when non-nil, overrides the queue choice of every kernel
-// constructed in the process. Cross-implementation determinism suites use
-// it to replay unmodified artifact runners on the non-default queue.
-var forcedQueue func() eventQueue
-
-// ForceQueueForTesting overrides the event-queue implementation of every
-// subsequently constructed kernel — "heap" or "calendar" — and returns a
-// function restoring the previous behaviour. Test-only; not safe for
-// concurrent use with kernel construction.
-func ForceQueueForTesting(kind string) (restore func()) {
-	prev := forcedQueue
-	switch kind {
-	case "heap":
-		forcedQueue = func() eventQueue { return &heapQueue{} }
-	case "calendar":
-		forcedQueue = func() eventQueue { return newCalendarQueue() }
-	default:
-		panic(fmt.Sprintf("sim: ForceQueueForTesting: unknown queue kind %q", kind))
-	}
-	return func() { forcedQueue = prev }
-}
-
-// NewKernel returns an empty kernel at virtual time zero. With no options
-// it uses the binary-heap event queue and the timer fast path.
+// NewKernel returns an empty kernel at virtual time zero, with the timer
+// fast path enabled unless an option turns it off.
 func NewKernel(opts ...Option) *Kernel {
 	k := &Kernel{
 		yield:    make(chan yieldMsg),
-		q:        &heapQueue{},
 		fastPath: true,
 	}
 	for _, o := range opts {
 		o(k)
-	}
-	if forcedQueue != nil {
-		k.q = forcedQueue()
 	}
 	return k
 }
@@ -223,24 +181,23 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 	if !p.killed {
 		p.pendingSeq = k.seq
 	}
-	k.q.push(event{at: at, seq: k.seq, p: p})
+	k.q = evPush(k.q, event{at: at, seq: k.seq, p: p})
 }
 
 // popLive pops queue entries until one is live, discarding tombstones:
 // entries for finished processes and entries superseded by a later
 // schedule of the same process.
 func (k *Kernel) popLive() (event, bool) {
-	for {
-		e, ok := k.q.pop()
-		if !ok {
-			return event{}, false
-		}
+	for len(k.q) > 0 {
+		var e event
+		e, k.q = evPop(k.q)
 		if e.p.done || e.seq != e.p.pendingSeq {
 			k.stats.Stale++
 			continue
 		}
 		return e, true
 	}
+	return event{}, false
 }
 
 // Run drives the simulation until no events remain. It returns the final
@@ -303,7 +260,7 @@ func (p *Proc) SleepUntil(t Time) {
 		t = k.now
 	}
 	if k.fastPath && !p.killed {
-		if at, ok := k.q.peekAt(); !ok || at > t {
+		if len(k.q) == 0 || k.q[0].at > t {
 			k.now = t
 			k.stats.FastPathEvents++
 			return
@@ -397,32 +354,4 @@ func (k *Kernel) releaseWaiters(ws []*Proc) {
 		ws[i] = nil
 	}
 	k.waitPool = append(k.waitPool, ws[:0])
-}
-
-// WaitGroup-style helper: Condition is a simple broadcast condition for
-// processes. Waiters park; Broadcast wakes all current waiters.
-type Condition struct {
-	w waitQueue
-}
-
-// NewCondition returns a condition bound to kernel k.
-func NewCondition(k *Kernel) *Condition { return &Condition{w: waitQueue{k: k}} }
-
-// Wait parks the calling process until the next Broadcast.
-func (c *Condition) Wait(p *Proc) {
-	c.w.park(p)
-}
-
-// Broadcast wakes every currently waiting process, in wait order.
-func (c *Condition) Broadcast() {
-	c.w.wakeAllAt(c.w.k.now)
-}
-
-// Len reports the number of parked waiters.
-func (c *Condition) Len() int { return c.w.len() }
-
-// SortProcsByName sorts a slice of processes by name; useful for
-// deterministic bookkeeping in higher layers.
-func SortProcsByName(ps []*Proc) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].name < ps[j].name })
 }

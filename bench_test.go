@@ -670,9 +670,10 @@ func schedScaleStream(nodes, jobCount int) (cluster.Machine, *sched.Pricer, []sc
 // host-dependent context; the gated metric is the 4096-node FCFS
 // speedup ratio — host-independent, both sides measured in the same
 // process — which the bench-compare gate ratchets and the acceptance
-// floor below pins at ≥ 5×. EASY backfill runs at the 1024-node tier:
-// its per-decision queue sort dominates both loops equally at 4096
-// nodes, which would dilute the ratio the ratchet exists to protect.
+// floor below pins at ≥ 5×. EASY backfill runs at the 1024-node tier
+// only: its per-pass Pick walks the whole queue (a lane merge, O(Q) per
+// decision point) in both loops alike, so at 4096 nodes it would dilute
+// the ratio the ratchet exists to protect.
 // A second ratcheted leg replays the 1024-node stream under fair-share
 // with preemption and node failures enabled, so the speedup guarantee
 // also covers the realism stack (floor ≥ 1.5×: the added per-event

@@ -168,6 +168,7 @@ type engine struct {
 	failRng     *xrand.RNG
 	repairs     []repair
 	downNodes   int
+	victims     []victim // maybePreempt's reused candidate buffer
 }
 
 // sample records the busy-node step function at `now`. Consecutive

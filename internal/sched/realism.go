@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"picmcio/internal/cluster"
 	"picmcio/internal/fault"
@@ -96,14 +97,11 @@ func (f FaultConfig) validate() error {
 	if f.MTBFNodeHours < 0 || math.IsNaN(f.MTBFNodeHours) {
 		return fmt.Errorf("sched: negative failure MTBF %v", f.MTBFNodeHours)
 	}
-	if f.RepairHours < 0 {
-		return fmt.Errorf("sched: negative repair window %v", f.RepairHours)
-	}
-	if f.RestartOverheadHours < 0 {
-		return fmt.Errorf("sched: negative restart overhead %v", f.RestartOverheadHours)
-	}
-	for i := 1; i < len(f.ArrivalHours); i++ {
-		if f.ArrivalHours[i] <= f.ArrivalHours[i-1] {
+	for i, at := range f.ArrivalHours {
+		if !nonNegFinite(at) {
+			return fmt.Errorf("sched: Config.Faults.ArrivalHours[%d] = %v, want a finite non-negative value", i, at)
+		}
+		if i > 0 && at <= f.ArrivalHours[i-1] {
 			return fmt.Errorf("sched: failure arrivals must be strictly increasing (index %d)", i)
 		}
 	}
@@ -385,6 +383,14 @@ func (e *engine) preemptDeadline() float64 {
 	return math.Inf(1)
 }
 
+// victim is a preemption candidate with its sort keys fetched once.
+type victim struct {
+	rj     *running
+	usage  float64
+	startH float64
+	id     int
+}
+
 // maybePreempt fires the preemptor once: if the queue head has waited
 // past the threshold and still cannot start, kill enough running jobs of
 // strictly-more-served tenants to cover its need. Jobs started at this
@@ -407,38 +413,39 @@ func (e *engine) maybePreempt() (bool, error) {
 		return false, nil
 	}
 	headUsage := e.tenant(head.job.Tenant).usage
-	var cands []*running
+	cands := e.victims[:0]
+	total := 0
 	for _, rj := range e.run {
 		if rj.res.StartHours == e.now {
 			continue
 		}
-		if e.tenant(rj.job.Tenant).usage > headUsage {
-			cands = append(cands, rj)
+		if u := e.tenant(rj.job.Tenant).usage; u > headUsage {
+			cands = append(cands, victim{rj: rj, usage: u, startH: rj.res.StartHours, id: rj.job.ID})
+			total += rj.job.Nodes
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		ua, ub := e.tenant(cands[a].job.Tenant).usage, e.tenant(cands[b].job.Tenant).usage
-		if ua != ub {
-			return ua > ub
+	e.victims = cands
+	if total < need {
+		return false, nil // no victim set can cover the head
+	}
+	// Most over-served tenant first, youngest job first, job ID last: a
+	// total order (IDs are unique), so any sort yields the same victims.
+	slices.SortFunc(cands, func(a, b victim) int {
+		if a.usage != b.usage {
+			return cmp.Compare(b.usage, a.usage)
 		}
-		if cands[a].res.StartHours != cands[b].res.StartHours {
-			return cands[a].res.StartHours > cands[b].res.StartHours
+		if a.startH != b.startH {
+			return cmp.Compare(b.startH, a.startH)
 		}
-		return cands[a].job.ID > cands[b].job.ID
+		return cmp.Compare(b.id, a.id)
 	})
 	freed, take := 0, 0
-	for _, rj := range cands {
-		if freed >= need {
-			break
-		}
-		freed += rj.job.Nodes
+	for freed < need {
+		freed += cands[take].rj.job.Nodes
 		take++
 	}
-	if freed < need {
-		return false, nil
-	}
-	for _, rj := range cands[:take] {
-		if err := e.killRunning(rj, false); err != nil {
+	for _, c := range cands[:take] {
+		if err := e.killRunning(c.rj, false); err != nil {
 			return false, err
 		}
 	}

@@ -122,6 +122,11 @@ type QueueView struct {
 	// per-tenant lookups and comparisons are order-free, a float sum over
 	// a Go map is not deterministic).
 	Usage map[string]float64
+
+	// scratch is EASY and FairShare's reusable Pick working memory,
+	// owned by the indexed loop's persistent view; nil makes Pick
+	// allocate its own.
+	scratch *pickScratch
 }
 
 // Decision is one job a policy starts now.
@@ -209,6 +214,29 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// validate rejects numeric settings the event loop cannot run on, after
+// defaults are applied. A NaN repair window or overhead would otherwise
+// surface as a misleading deadlock, an infinite one as infinite
+// down-time, and a negative bandwidth as negative slowdowns.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"EpochHours", c.EpochHours},
+		{"PFSBandwidth", c.PFSBandwidth},
+		{"UsageHalfLifeHours", c.UsageHalfLifeHours},
+		{"Preempt.CheckpointHours", c.Preempt.CheckpointHours},
+		{"Faults.RepairHours", c.Faults.RepairHours},
+		{"Faults.RestartOverheadHours", c.Faults.RestartOverheadHours},
+	} {
+		if !nonNegFinite(f.v) {
+			return fmt.Errorf("sched: Config.%s = %v, want a finite non-negative value", f.name, f.v)
+		}
+	}
+	return c.Faults.validate()
 }
 
 // PFSBandwidth is the machine's shared write-back capacity: the storage
@@ -403,6 +431,9 @@ func (r *Result) JainTenants() float64 {
 // suite holds them byte-identical.
 func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if pol == nil {
 		return nil, fmt.Errorf("sched: nil policy")
 	}
@@ -425,7 +456,7 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 			return nil, fmt.Errorf("sched: duplicate job ID %d in stream", j.ID)
 		}
 		seen[j.ID] = true
-		if !validSubmit(j.SubmitHours) {
+		if !nonNegFinite(j.SubmitHours) {
 			return nil, fmt.Errorf("sched: job %d: submit time %v hours is not finite and non-negative", j.ID, j.SubmitHours)
 		}
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {
@@ -443,9 +474,6 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 		return arrivals[a].ID < arrivals[b].ID
 	})
 
-	if err := cfg.Faults.validate(); err != nil {
-		return nil, err
-	}
 	e := &engine{
 		cfg: cfg, pol: pol, pr: pr, sys: sys,
 		arrivals: arrivals,
@@ -464,8 +492,11 @@ func Run(cfg Config, pol Policy, stream []Job) (*Result, error) {
 	if forceNaiveLoop {
 		e.naive = true
 		e.qued = map[int]float64{}
-	} else if pp, ok := pol.(PrefixPolicy); ok {
-		e.prefix = pp
+	} else {
+		e.view.scratch = &pickScratch{}
+		if pp, ok := pol.(PrefixPolicy); ok {
+			e.prefix = pp
+		}
 	}
 	if err := e.loop(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"picmcio/internal/burst"
@@ -274,6 +275,50 @@ func TestRunValidation(t *testing.T) {
 	bad.Spec.Nodes = 4
 	if _, err := Run(cfg, FCFS{}, []Job{bad}); err == nil {
 		t.Fatal("spec/job node mismatch accepted")
+	}
+}
+
+// TestConfigValidation pins the Run boundary's numeric checks: every
+// non-finite or negative setting is refused with an error naming its
+// field, instead of surfacing later as a bogus deadlock, infinite
+// down-time or negative slowdowns.
+func TestConfigValidation(t *testing.T) {
+	m := cluster.Discoverer()
+	c := DefaultClasses()[0]
+	spec := c.Spec(m)
+	spec.Nodes = 2
+	stream := []Job{{ID: 1, Tenant: "t", Class: c.Name, Nodes: 2, Spec: spec}}
+	base := Config{Machine: m, Nodes: 8, Seed: 1}
+	if _, err := Run(base, EASY{}, stream); err != nil {
+		t.Fatalf("valid config refused: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		set   func(*Config, float64)
+		bad   []float64
+	}{
+		{"EpochHours", func(c *Config, v float64) { c.EpochHours = v }, []float64{nan, inf, -1}},
+		{"PFSBandwidth", func(c *Config, v float64) { c.PFSBandwidth = v }, []float64{nan, inf, -1}},
+		// Non-positive half-lives select the default, so only NaN and +Inf
+		// are refused.
+		{"UsageHalfLifeHours", func(c *Config, v float64) { c.UsageHalfLifeHours = v }, []float64{nan, inf}},
+		{"Preempt.CheckpointHours", func(c *Config, v float64) { c.Preempt.CheckpointHours = v }, []float64{nan, inf, -1}},
+		{"Faults.RepairHours", func(c *Config, v float64) { c.Faults.RepairHours = v }, []float64{nan, inf, -1}},
+		{"Faults.RestartOverheadHours", func(c *Config, v float64) { c.Faults.RestartOverheadHours = v }, []float64{nan, inf, -1}},
+		{"Faults.ArrivalHours[1]", func(c *Config, v float64) { c.Faults.ArrivalHours = []float64{1, v} }, []float64{nan, inf, -1}},
+	}
+	for _, tc := range cases {
+		for _, v := range tc.bad {
+			cfg := base
+			cfg.Preempt = PreemptConfig{MaxHeadWaitHours: 1}
+			cfg.Faults = FaultConfig{MTBFNodeHours: 100}
+			tc.set(&cfg, v)
+			_, err := Run(cfg, EASY{}, stream)
+			if err == nil || !strings.Contains(err.Error(), "Config."+tc.field+" ") {
+				t.Errorf("%s = %v: err = %v, want an error naming Config.%s", tc.field, v, err, tc.field)
+			}
+		}
 	}
 }
 

@@ -261,9 +261,9 @@ func WriteTrace(w io.Writer, js []Job) error {
 	return bw.Flush()
 }
 
-// validSubmit reports whether a submit time can sit on the campaign
-// clock: NaN, ±Inf and negative times cannot.
-func validSubmit(h float64) bool { return h >= 0 && !math.IsInf(h, 1) }
+// nonNegFinite reports whether a time or rate is usable on the campaign
+// clock: NaN, ±Inf and negative values are not.
+func nonNegFinite(h float64) bool { return h >= 0 && !math.IsInf(h, 1) }
 
 // ReadTrace parses a trace written by WriteTrace, instantiating each
 // job's spec from the named class on the given machine (the line's node
@@ -301,7 +301,7 @@ func ReadTrace(r io.Reader, m cluster.Machine, classes []SizeClass) ([]Job, erro
 		if _, err := fmt.Sscanf(text, "%d %s %s %d %g", &id, &tenant, &name, &nodes, &at); err != nil {
 			return nil, fmt.Errorf("sched: trace line %d: %v", line, err)
 		}
-		if !validSubmit(at) {
+		if !nonNegFinite(at) {
 			return nil, fmt.Errorf("sched: trace line %d: submit time %v hours is not finite and non-negative", line, at)
 		}
 		c, ok := byName[name]
